@@ -10,6 +10,8 @@
 /// captured — the exact extra work LmcPolicy does when `--record-out` is
 /// active. The recorded variant must stay within the wall-time gate of
 /// the bare one; "cheap enough to leave on" is a gated claim, not a hope.
+/// And the per-task bookkeeping a serving shard does after each
+/// placement: one record write into the status/trace table.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -20,6 +22,7 @@
 #include "dvfs/core/online_lmc.h"
 #include "dvfs/obs/hw_telemetry.h"
 #include "dvfs/obs/recorder.h"
+#include "dvfs/obs/reqtrace.h"
 
 namespace {
 
@@ -146,6 +149,38 @@ void BM_PlaceNonInteractiveSampled(benchmark::State& state) {
 }
 BENCHMARK(BM_PlaceNonInteractiveSampled)
     ->ArgsProduct({{1, 4, 16}, {16, 256, 4096}});
+
+// The shard's per-task bookkeeping layer: the one record write a placed
+// task costs (five steps plus its price), into a table sized like the
+// serve default (2^20 tasks over 2 route stripes). Each fresh table takes
+// 512k tasks, the size of a perfbench http-batch phase, so the row
+// includes first-touch page faults the way a serving daemon pays them.
+void BM_TraceRecordWrite(benchmark::State& state) {
+  using obs::reqtrace::Stage;
+  using obs::reqtrace::Step;
+  constexpr std::size_t kCapacity = std::size_t{1} << 20;
+  constexpr std::uint64_t kTasksPerTable = std::uint64_t{1} << 19;
+  auto table = std::make_unique<obs::reqtrace::TraceStore>(kCapacity, 2);
+  std::uint64_t task = 0;
+  for (auto _ : state) {
+    if (task == kTasksPerTable) {
+      state.PauseTiming();
+      table.reset();
+      table = std::make_unique<obs::reqtrace::TraceStore>(kCapacity, 2);
+      task = 0;
+      state.ResumeTiming();
+    }
+    ++task;
+    const double t = static_cast<double>(task) * 1e-6;
+    benchmark::DoNotOptimize(table->append(
+        task, task | 1,
+        {Step{Stage::kSubmitRecv, t, 0, 0}, Step{Stage::kRingEnqueue, t, 0, 0},
+         Step{Stage::kRingDequeue, t, 0, 0}, Step{Stage::kPlacement, t, 1, 3},
+         Step{Stage::kShardQueue, t, 1, 12}},
+        obs::reqtrace::Cost{task * 1000, 0.5}));
+  }
+}
+BENCHMARK(BM_TraceRecordWrite);
 
 void BM_ChooseInteractiveCore(benchmark::State& state) {
   const std::size_t cores = static_cast<std::size_t>(state.range(0));

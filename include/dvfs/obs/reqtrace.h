@@ -9,7 +9,8 @@
 /// timeline. The same step stream exists in two places:
 ///
 ///  * **Live**: the service appends steps into a bounded `TraceStore`,
-///    which backs `GET /tasks/{id}/trace` while the daemon runs.
+///    one fixed record per task, which backs `GET /tasks/{id}/trace`
+///    and `GET /schedule/{id}` while the daemon runs.
 ///  * **Recorded**: shard workers emit the steps as `.dfr` v4 events
 ///    (dfr::EventType::kSubmitRecv..kExecEnd), so `build_timelines()`
 ///    can reconstruct every task's causal chain from a recording —
@@ -31,11 +32,11 @@
 #include <cstdint>
 #include <initializer_list>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "dvfs/obs/json.h"
@@ -43,6 +44,16 @@
 #include "dvfs/obs/recorder_format.h"
 
 namespace dvfs::obs::reqtrace {
+
+/// SplitMix64 finalizer. Spreads sequential task ids over TraceStore
+/// stripes and, with the same `mix64(id) % n`, over the service's shards,
+/// so a task's stripe is its admission shard. Also mints trace ids.
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 /// One lifecycle stage. Order is the canonical within-instant order: two
 /// steps with the same timestamp sort by stage, which makes a chain like
@@ -131,47 +142,90 @@ void sort_steps(std::vector<Step>& steps);
 [[nodiscard]] std::optional<std::uint64_t> parse_trace_id(
     std::string_view text);
 
-/// Bounded live per-task step store (the data behind
-/// `GET /tasks/{id}/trace`). Striped like the service's status store:
-/// appends come from shard workers at placement rate, reads from HTTP
-/// lookups. Oldest tasks are evicted per stripe once `capacity` tasks
-/// are held.
+/// A placement's price, kept in the task's record for status lookups.
+struct Cost {
+  std::uint64_t cycles = 0;
+  double marginal = 0.0;  ///< exact queue-cost delta of the placement
+};
+
+/// The latest facts in one task's record, read without building its
+/// timeline: what a status lookup (`GET /schedule/{id}`) answers.
+/// "Last" is in append order, so a steal hop's placement supersedes the
+/// first hop's.
+struct Summary {
+  std::uint64_t trace_id = 0;
+  std::uint64_t cycles = 0;
+  double marginal = 0.0;
+  std::uint32_t shard = 0;     ///< shard of the last kRingDequeue
+  std::uint32_t core = 0;      ///< a of the last kPlacement
+  std::uint32_t rate_idx = 0;  ///< b of the last kPlacement
+  double placed_s = 0.0;       ///< time of the last kPlacement
+  std::size_t hops = 0;        ///< kStealHop steps
+  bool exec_begun = false;
+  bool exec_ended = false;
+};
+
+/// Bounded live per-task record table: the data behind both
+/// `GET /schedule/{id}` and `GET /tasks/{id}/trace`. One fixed 128-byte
+/// record per task holds its trace id, price, and the first step of
+/// each stage; steps that do not fit a slot (steal hops, and everything
+/// after them) live out of line, so only stolen tasks ever allocate.
+///
+/// Task ids map to stripes by `mix64(task) % stripes` — the service's
+/// admission route when `stripes` equals its shard count, so each shard
+/// writes its own stripe except for steal forwards. A stripe is a FIFO
+/// ring of `capacity / stripes` records plus an open-addressing index
+/// (linear probing, backward-shift delete) from task id to ring slot;
+/// when the ring is full, a new task overwrites the stripe's oldest
+/// record, so exactly the newest records per stripe survive. The ring
+/// is anonymous zero-filled pages, touched only as records are written,
+/// and the index doubles as records arrive, so memory follows the tasks
+/// held rather than the capacity.
 class TraceStore {
  public:
   explicit TraceStore(std::size_t capacity, std::size_t stripes = 16);
+  ~TraceStore();
 
   TraceStore(const TraceStore&) = delete;
   TraceStore& operator=(const TraceStore&) = delete;
 
-  /// Appends steps to `task`'s timeline (creating it on first touch).
-  void append(std::uint64_t task, std::uint64_t trace_id,
-              std::initializer_list<Step> steps);
+  /// What one append did.
+  struct Written {
+    std::uint64_t trace_id = 0;  ///< the record's trace id afterwards
+    bool evicted = false;        ///< creating the record evicted another
+  };
+
+  /// Appends steps to `task`'s record, creating it on first touch. A
+  /// nonzero `trace_id` replaces the stored one; `cost` replaces the
+  /// stored price.
+  Written append(std::uint64_t task, std::uint64_t trace_id,
+                 std::initializer_list<Step> steps,
+                 std::optional<Cost> cost = std::nullopt);
+
+  /// Appends steps to an existing record only; nullopt (and no write)
+  /// for unknown or evicted tasks. Returns the updated summary.
+  std::optional<Summary> extend(std::uint64_t task,
+                                std::initializer_list<Step> steps);
 
   /// Snapshot of a task's timeline so far; steps come back canonically
   /// sorted. nullopt for unknown (or evicted) tasks.
   [[nodiscard]] std::optional<Timeline> get(std::uint64_t task) const;
 
-  /// Timelines evicted to stay within capacity (exact; relaxed).
+  /// The task's latest facts; nullopt exactly when get() is.
+  [[nodiscard]] std::optional<Summary> summary(std::uint64_t task) const;
+
+  /// Records evicted to stay within capacity (exact; relaxed).
   [[nodiscard]] std::uint64_t evicted() const {
     return evicted_.load(std::memory_order_relaxed);
   }
 
  private:
-  struct Entry {
-    std::uint64_t trace_id = 0;
-    std::vector<Step> steps;
-  };
-  struct Stripe {
-    mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, Entry> by_task;
-    std::vector<std::uint64_t> fifo;
-    std::size_t evict_cursor = 0;
-  };
+  struct Stripe;
 
-  [[nodiscard]] Stripe& stripe_for(std::uint64_t task) const;
+  [[nodiscard]] Stripe& stripe_for(std::uint64_t hash) const;
 
-  std::size_t per_stripe_capacity_;
-  mutable std::vector<Stripe> stripes_;
+  std::size_t num_stripes_;
+  std::unique_ptr<Stripe[]> stripes_;
   std::atomic<std::uint64_t> evicted_{0};
 };
 

@@ -44,10 +44,8 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "dvfs/core/cost_model.h"
@@ -85,8 +83,8 @@ struct Msg {
   /// ingress span event after dequeue. 0 on steal forwards (the ingress
   /// event was already emitted on the first hop).
   std::uint64_t recv_ns = 0;
-  /// 64-bit request-trace id assigned at ingress; preserved across
-  /// steal hops (0 when the origin's status entry was already evicted).
+  /// 64-bit request-trace id assigned at ingress. 0 on steal forwards:
+  /// the receiving shard reads it back from the task's record.
   std::uint64_t trace = 0;
 };
 
@@ -128,8 +126,12 @@ struct ServiceOptions {
   /// The rich shard must hold at least this many queued tasks before
   /// anyone bothers stealing from it.
   std::size_t steal_min_queue = 8;
-  /// Bound on remembered task decisions; oldest entries are evicted
-  /// first (a long-running daemon cannot keep every ticket forever).
+  /// Bound on remembered tasks: one fixed record per task holds both
+  /// its status and its trace. Records are striped by admission route,
+  /// `status_capacity / shards` per stripe, and each stripe evicts its
+  /// oldest record first (exact FIFO: a long-running daemon cannot keep
+  /// every ticket forever). The table's pages are touched only as
+  /// records are written, so memory follows the tasks held.
   std::size_t status_capacity = std::size_t{1} << 20;
   /// Wall seconds per model second of *virtual execution*: > 0 lets each
   /// shard pop its queue fronts as their scaled durations elapse, so a
@@ -204,8 +206,8 @@ class SchedulingService {
   [[nodiscard]] Money shard_queue_cost(std::size_t shard) const;
   [[nodiscard]] std::size_t shard_queue_len(std::size_t shard) const;
 
-  /// Live per-task request timelines (always-on; bounded like the status
-  /// store). Backs `GET /tasks/{id}/trace`.
+  /// Live per-task records (always-on; bounded by `status_capacity`).
+  /// `status()` and `GET /tasks/{id}/trace` both answer from them.
   [[nodiscard]] const obs::reqtrace::TraceStore& traces() const {
     return traces_;
   }
@@ -227,7 +229,6 @@ class SchedulingService {
   void virtual_execute(Shard& shard);
   void publish_gauges(Shard& shard);
   [[nodiscard]] double now_s() const;
-  void status_upsert(core::TaskId id, const TaskStatus& st);
 
   core::EnergyModel model_;
   core::CostParams params_;
@@ -243,18 +244,8 @@ class SchedulingService {
   std::atomic<std::uint64_t> inflight_submits_{0};
   std::chrono::steady_clock::time_point start_time_{};
 
-  // Status store, striped by the admission route so a stolen task is
-  // still found under its original stripe. Mutex-per-stripe: writes come
-  // from one shard thread at placement rate, reads from HTTP lookups.
-  struct StatusStripe {
-    mutable std::mutex mu;
-    std::unordered_map<core::TaskId, TaskStatus> by_id;
-    std::vector<core::TaskId> fifo;  ///< insertion order, for eviction
-    std::size_t evict_cursor = 0;
-  };
-  std::vector<std::unique_ptr<StatusStripe>> status_;
-
-  // Request tracing: id source, live timelines, per-bucket exemplars.
+  // Request tracing: id source, per-task records (status and timeline),
+  // per-bucket exemplars.
   std::atomic<std::uint64_t> trace_seq_{0};
   obs::reqtrace::TraceStore traces_;
   obs::reqtrace::ExemplarStore exemplars_;

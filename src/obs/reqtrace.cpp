@@ -1,26 +1,19 @@
 #include "dvfs/obs/reqtrace.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cstdio>
+#include <new>
+#include <type_traits>
+#include <unordered_map>
+#include <utility>
 
 #include "dvfs/common.h"
 
 namespace dvfs::obs::reqtrace {
-
-namespace {
-
-// SplitMix64 finalizer — same family the service uses for shard routing;
-// here it spreads task ids across stripes.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 const char* to_string(Stage s) {
   switch (s) {
@@ -240,50 +233,301 @@ std::optional<std::uint64_t> parse_trace_id(std::string_view text) {
   return v;
 }
 
-TraceStore::TraceStore(std::size_t capacity, std::size_t stripes)
-    : per_stripe_capacity_(std::max<std::size_t>(
-          1, capacity / std::max<std::size_t>(1, stripes))),
-      stripes_(std::max<std::size_t>(1, stripes)) {}
+namespace {
 
-TraceStore::Stripe& TraceStore::stripe_for(std::uint64_t task) const {
-  return stripes_[mix64(task) % stripes_.size()];
+/// One task's record: two cache lines, living in a stripe's ring. Slot
+/// `i` holds the first step of Stage `i` (kStealHop has none); the slots
+/// share their `a` fields pairwise, so a step fits only if it agrees
+/// with its partner. Once any step spills, every later one does too, so
+/// slots-then-spill is append order for same-stage steps.
+struct Record {
+  std::uint64_t task;
+  std::uint64_t trace_id;
+  std::uint64_t cycles;
+  double marginal;
+  double t[8];              ///< slot timestamps, indexed by Stage
+  std::uint32_t shard;      ///< a of kRingEnqueue / kRingDequeue
+  std::uint32_t core;       ///< a of kPlacement / kShardQueue
+  std::uint32_t rate_idx;   ///< b of kPlacement
+  std::uint32_t depth;      ///< b of kShardQueue
+  std::uint32_t exec_core;  ///< a of kExecBegin / kExecEnd
+  std::uint8_t present;     ///< bit i: slot i holds a step
+  std::vector<Step>* spill;  ///< out-of-line steps; null until needed
+};
+static_assert(sizeof(Record) == 128);
+static_assert(std::is_trivially_copyable_v<Record>);
+
+constexpr std::uint8_t bit(Stage s) {
+  return static_cast<std::uint8_t>(1u << static_cast<unsigned>(s));
 }
 
-void TraceStore::append(std::uint64_t task, std::uint64_t trace_id,
-                        std::initializer_list<Step> steps) {
-  Stripe& st = stripe_for(task);
-  std::lock_guard lock(st.mu);
-  auto [it, inserted] = st.by_task.try_emplace(task);
-  if (inserted) {
-    st.fifo.push_back(task);
-    if (st.by_task.size() > per_stripe_capacity_) {
-      // Same rotating-cursor FIFO eviction as the service status store:
-      // the oldest remembered task makes room.
-      while (st.evict_cursor < st.fifo.size()) {
-        const std::uint64_t victim = st.fifo[st.evict_cursor++];
-        if (victim != task && st.by_task.erase(victim) > 0) {
-          evicted_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
+/// Where slot `i` keeps a step's `a`/`b` (nullptr: must be 0), and which
+/// slots share its `a` field.
+struct SlotFields {
+  std::uint32_t Record::*a;
+  std::uint32_t Record::*b;
+  std::uint8_t shares_a;
+};
+constexpr std::uint8_t kShardPair =
+    bit(Stage::kRingEnqueue) | bit(Stage::kRingDequeue);
+constexpr std::uint8_t kCorePair =
+    bit(Stage::kPlacement) | bit(Stage::kShardQueue);
+constexpr std::uint8_t kExecPair =
+    bit(Stage::kExecBegin) | bit(Stage::kExecEnd);
+constexpr SlotFields kSlots[8] = {
+    {nullptr, nullptr, 0},                               // kSubmitRecv
+    {nullptr, nullptr, 0},                               // kStealHop
+    {&Record::shard, nullptr, kShardPair},               // kRingEnqueue
+    {&Record::shard, nullptr, kShardPair},               // kRingDequeue
+    {&Record::core, &Record::rate_idx, kCorePair},       // kPlacement
+    {&Record::core, &Record::depth, kCorePair},          // kShardQueue
+    {&Record::exec_core, nullptr, kExecPair},            // kExecBegin
+    {&Record::exec_core, nullptr, kExecPair},            // kExecEnd
+};
+
+void put(Record& r, const Step& s) {
+  const auto i = static_cast<std::size_t>(s.stage);
+  const SlotFields& f = kSlots[i];
+  const bool fits =
+      r.spill == nullptr && s.stage != Stage::kStealHop &&
+      (r.present & bit(s.stage)) == 0 &&
+      (f.a != nullptr ? (r.present & f.shares_a) == 0 || r.*f.a == s.a
+                      : s.a == 0) &&
+      (f.b != nullptr || s.b == 0);
+  if (!fits) {
+    if (r.spill == nullptr) r.spill = new std::vector<Step>();
+    r.spill->push_back(s);
+    return;
+  }
+  r.t[i] = s.t_s;
+  if (f.a != nullptr) r.*f.a = s.a;
+  if (f.b != nullptr) r.*f.b = s.b;
+  r.present |= bit(s.stage);
+}
+
+Summary summarize(const Record& r) {
+  Summary s;
+  s.trace_id = r.trace_id;
+  s.cycles = r.cycles;
+  s.marginal = r.marginal;
+  if ((r.present & bit(Stage::kRingDequeue)) != 0) s.shard = r.shard;
+  if ((r.present & bit(Stage::kPlacement)) != 0) {
+    s.core = r.core;
+    s.rate_idx = r.rate_idx;
+    s.placed_s = r.t[static_cast<std::size_t>(Stage::kPlacement)];
+  }
+  s.exec_begun = (r.present & bit(Stage::kExecBegin)) != 0;
+  s.exec_ended = (r.present & bit(Stage::kExecEnd)) != 0;
+  if (r.spill == nullptr) return s;
+  for (const Step& step : *r.spill) {
+    switch (step.stage) {
+      case Stage::kStealHop: ++s.hops; break;
+      case Stage::kRingDequeue: s.shard = step.a; break;
+      case Stage::kPlacement:
+        s.core = step.a;
+        s.rate_idx = step.b;
+        s.placed_s = step.t_s;
+        break;
+      case Stage::kExecBegin: s.exec_begun = true; break;
+      case Stage::kExecEnd: s.exec_ended = true; break;
+      default: break;
+    }
+  }
+  return s;
+}
+
+}  // namespace
+
+/// A FIFO ring of records plus the index that finds them. Index entries
+/// are `(hash >> 32) << 32 | (slot + 1)`, 0 = empty; the high half both
+/// filters probes and gives an entry's home position without touching
+/// its record. The index doubles whenever it would pass half full, so
+/// like the ring it grows with the records held, up to twice the ring.
+struct alignas(64) TraceStore::Stripe {
+  mutable std::mutex mu;
+  std::size_t capacity = 0;  ///< ring slots
+  std::size_t head = 0;      ///< next slot to write
+  std::size_t held = 0;      ///< live records
+  unsigned bits = 0;         ///< the index has 2^bits entries
+  Record* ring = nullptr;
+  std::vector<std::uint64_t> index;
+
+  Stripe() = default;
+  Stripe(const Stripe&) = delete;
+  Stripe& operator=(const Stripe&) = delete;
+
+  ~Stripe() {
+    if (ring == nullptr) return;
+    for (std::size_t i = 0; i < held; ++i) delete ring[i].spill;
+    munmap(ring, capacity * sizeof(Record));
+  }
+
+  void init(std::size_t slots) {
+    DVFS_REQUIRE(slots < (std::size_t{1} << 31),
+                 "trace store stripe capacity must be below 2^31");
+    capacity = slots;
+    bits = std::min(10u, static_cast<unsigned>(std::bit_width(2 * slots - 1)));
+    index.assign(std::size_t{1} << bits, 0);
+    // Anonymous zero-filled pages: nothing is resident until written.
+    void* p = mmap(nullptr, capacity * sizeof(Record), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    ring = static_cast<Record*>(p);
+  }
+
+  [[nodiscard]] std::size_t home(std::uint64_t tag) const {
+    return static_cast<std::size_t>(tag >> (32 - bits));
+  }
+
+  /// Re-homes every entry into an index twice the size.
+  void grow() {
+    const std::vector<std::uint64_t> old = std::exchange(
+        index, std::vector<std::uint64_t>(std::size_t{1} << ++bits, 0));
+    const std::size_t mask = index.size() - 1;
+    for (const std::uint64_t e : old) {
+      if (e == 0) continue;
+      std::size_t i = home(e >> 32);
+      while (index[i] != 0) i = (i + 1) & mask;
+      index[i] = e;
+    }
+  }
+
+  /// Index position of `task`'s entry, or the empty one ending its probe.
+  [[nodiscard]] std::size_t probe(std::uint64_t task,
+                                  std::uint64_t tag) const {
+    const std::size_t mask = index.size() - 1;
+    for (std::size_t i = home(tag);; i = (i + 1) & mask) {
+      const std::uint64_t e = index[i];
+      if (e == 0 ||
+          ((e >> 32) == tag && ring[(e & 0xffffffffu) - 1].task == task)) {
+        return i;
       }
     }
   }
-  Entry& e = it->second;
-  if (trace_id != 0) e.trace_id = trace_id;
-  e.steps.insert(e.steps.end(), steps.begin(), steps.end());
+
+  [[nodiscard]] Record* find(std::uint64_t task, std::uint64_t tag) const {
+    const std::uint64_t e = index[probe(task, tag)];
+    return e == 0 ? nullptr : &ring[(e & 0xffffffffu) - 1];
+  }
+
+  /// Removes the entry at `pos`, shifting later members of its probe
+  /// run back so every remaining entry stays reachable from its home.
+  void erase_at(std::size_t pos) {
+    const std::size_t mask = index.size() - 1;
+    for (std::size_t j = (pos + 1) & mask;; j = (j + 1) & mask) {
+      const std::uint64_t e = index[j];
+      if (e == 0) break;
+      if (((j - home(e >> 32)) & mask) >= ((j - pos) & mask)) {
+        index[pos] = e;
+        pos = j;
+      }
+    }
+    index[pos] = 0;
+  }
+
+  /// A fresh record for `task` in the ring's next slot; sets `evicted`
+  /// when that slot held the stripe's oldest record.
+  Record& create(std::uint64_t task, std::uint64_t tag, bool& evicted) {
+    Record& r = ring[head];
+    evicted = held == capacity;
+    if (evicted) {
+      erase_at(probe(r.task, mix64(r.task) >> 32));
+      delete r.spill;
+    } else if (2 * ++held > index.size()) {
+      grow();  // never past 2 * capacity entries: held <= capacity
+    }
+    r = Record{};
+    r.task = task;
+    index[probe(task, tag)] = tag << 32 | (head + 1);
+    head = head + 1 == capacity ? 0 : head + 1;
+    return r;
+  }
+};
+
+TraceStore::TraceStore(std::size_t capacity, std::size_t stripes)
+    : num_stripes_(std::max<std::size_t>(1, stripes)),
+      stripes_(std::make_unique<Stripe[]>(num_stripes_)) {
+  const std::size_t per_stripe =
+      std::max<std::size_t>(1, capacity / num_stripes_);
+  for (std::size_t i = 0; i < num_stripes_; ++i) {
+    stripes_[i].init(per_stripe);
+  }
+}
+
+TraceStore::~TraceStore() = default;
+
+TraceStore::Stripe& TraceStore::stripe_for(std::uint64_t hash) const {
+  return stripes_[hash % num_stripes_];
+}
+
+TraceStore::Written TraceStore::append(std::uint64_t task,
+                                       std::uint64_t trace_id,
+                                       std::initializer_list<Step> steps,
+                                       std::optional<Cost> cost) {
+  const std::uint64_t h = mix64(task);
+  Stripe& st = stripe_for(h);
+  Written w;
+  std::lock_guard lock(st.mu);
+  Record* r = st.find(task, h >> 32);
+  if (r == nullptr) {
+    r = &st.create(task, h >> 32, w.evicted);
+    if (w.evicted) evicted_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (trace_id != 0) r->trace_id = trace_id;
+  if (cost.has_value()) {
+    r->cycles = cost->cycles;
+    r->marginal = cost->marginal;
+  }
+  for (const Step& s : steps) put(*r, s);
+  w.trace_id = r->trace_id;
+  return w;
+}
+
+std::optional<Summary> TraceStore::extend(std::uint64_t task,
+                                          std::initializer_list<Step> steps) {
+  const std::uint64_t h = mix64(task);
+  Stripe& st = stripe_for(h);
+  std::lock_guard lock(st.mu);
+  Record* r = st.find(task, h >> 32);
+  if (r == nullptr) return std::nullopt;
+  for (const Step& s : steps) put(*r, s);
+  return summarize(*r);
 }
 
 std::optional<Timeline> TraceStore::get(std::uint64_t task) const {
-  const Stripe& st = stripe_for(task);
-  std::lock_guard lock(st.mu);
-  const auto it = st.by_task.find(task);
-  if (it == st.by_task.end()) return std::nullopt;
+  const std::uint64_t h = mix64(task);
+  const Stripe& st = stripe_for(h);
   Timeline tl;
   tl.task = task;
-  tl.trace_id = it->second.trace_id;
-  tl.steps = it->second.steps;
+  {
+    std::lock_guard lock(st.mu);
+    const Record* r = st.find(task, h >> 32);
+    if (r == nullptr) return std::nullopt;
+    tl.trace_id = r->trace_id;
+    tl.steps.reserve(static_cast<std::size_t>(std::popcount(r->present)) +
+                     (r->spill != nullptr ? r->spill->size() : 0));
+    for (std::size_t i = 0; i < 8; ++i) {
+      if ((r->present & (1u << i)) == 0) continue;
+      const SlotFields& f = kSlots[i];
+      tl.steps.push_back(Step{static_cast<Stage>(i), r->t[i],
+                              f.a != nullptr ? r->*f.a : 0,
+                              f.b != nullptr ? r->*f.b : 0});
+    }
+    if (r->spill != nullptr) {
+      tl.steps.insert(tl.steps.end(), r->spill->begin(), r->spill->end());
+    }
+  }
   sort_steps(tl.steps);
   return tl;
+}
+
+std::optional<Summary> TraceStore::summary(std::uint64_t task) const {
+  const std::uint64_t h = mix64(task);
+  const Stripe& st = stripe_for(h);
+  std::lock_guard lock(st.mu);
+  const Record* r = st.find(task, h >> 32);
+  if (r == nullptr) return std::nullopt;
+  return summarize(*r);
 }
 
 void ExemplarSeries::observe(std::uint64_t value, std::uint64_t trace_id,

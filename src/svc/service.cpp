@@ -22,15 +22,6 @@ std::uint64_t now_ns_since(Clock::time_point origin) {
           .count());
 }
 
-/// SplitMix64 finalizer: sequential task ids must not all land on one
-/// shard, so the route hash has to mix low bits into high entropy.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 constexpr std::size_t kDrainBatch = 256;
 constexpr std::size_t kStealCooldownIters = 64;
 constexpr std::uint16_t kStealMaxTasks = 32;
@@ -116,7 +107,7 @@ SchedulingService::SchedulingService(core::EnergyModel model,
       options_(options),
       registry_(options.registry != nullptr ? options.registry
                                             : &obs::Registry::global()),
-      traces_(options.status_capacity),
+      traces_(options.status_capacity, options.shards),
       submitted_(registry_->counter("svc.submitted")),
       rejected_(registry_->counter("svc.rejected")),
       placed_(registry_->counter("svc.placed")),
@@ -152,7 +143,6 @@ SchedulingService::SchedulingService(core::EnergyModel model,
         registry_->gauge("svc.shard.queue_len" + label),
         registry_->gauge("svc.ring.occupancy" + label),
         registry_->counter("svc.submit.rejected" + label)));
-    status_.push_back(std::make_unique<StatusStripe>());
   }
 }
 
@@ -196,7 +186,10 @@ void SchedulingService::start() {
 
 std::size_t SchedulingService::route(core::TaskId id, std::size_t shards) {
   DVFS_REQUIRE(shards > 0, "route needs at least one shard");
-  return static_cast<std::size_t>(mix64(id) % shards);
+  // Sequential ids must not all land on one shard, so the route mixes
+  // low bits into high entropy — the same hash that picks the task's
+  // record stripe.
+  return static_cast<std::size_t>(obs::reqtrace::mix64(id) % shards);
 }
 
 SchedulingService::Ticket SchedulingService::submit(core::TaskId id,
@@ -220,7 +213,8 @@ SchedulingService::Ticket SchedulingService::submit(core::TaskId id,
   msg.recv_ns = now_ns_since(start_time_);
   // Trace ids come from a mixed sequence so they look (and dedupe) like
   // real distributed-tracing ids while staying deterministic per run.
-  msg.trace = mix64(trace_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
+  msg.trace = obs::reqtrace::mix64(
+      trace_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
   if (msg.trace == 0) msg.trace = 1;
   msg.enqueue_ns = now_ns_since(start_time_);
   shard.enqueued.fetch_add(1, std::memory_order_seq_cst);
@@ -282,36 +276,21 @@ void SchedulingService::drain() {
 }
 
 std::optional<TaskStatus> SchedulingService::status(core::TaskId id) const {
-  const StatusStripe& stripe = *status_[route(id, status_.size())];
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  const auto it = stripe.by_id.find(id);
-  if (it == stripe.by_id.end()) return std::nullopt;
-  return it->second;
-}
-
-void SchedulingService::status_upsert(core::TaskId id,
-                                      const TaskStatus& st) {
-  StatusStripe& stripe = *status_[route(id, status_.size())];
-  const std::size_t cap =
-      std::max<std::size_t>(1, options_.status_capacity / status_.size());
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  const auto [it, inserted] = stripe.by_id.insert_or_assign(id, st);
-  (void)it;
-  if (!inserted) return;
-  stripe.fifo.push_back(id);
-  if (stripe.by_id.size() > cap &&
-      stripe.evict_cursor < stripe.fifo.size()) {
-    stripe.by_id.erase(stripe.fifo[stripe.evict_cursor++]);
-    status_evicted_.inc();
-    if (stripe.evict_cursor > (std::size_t{1} << 16) &&
-        stripe.evict_cursor * 2 > stripe.fifo.size()) {
-      // Compact the eviction log so it does not grow without bound.
-      stripe.fifo.erase(stripe.fifo.begin(),
-                        stripe.fifo.begin() +
-                            static_cast<std::ptrdiff_t>(stripe.evict_cursor));
-      stripe.evict_cursor = 0;
-    }
-  }
+  const std::optional<obs::reqtrace::Summary> s = traces_.summary(id);
+  if (!s.has_value()) return std::nullopt;
+  TaskStatus st;
+  st.state = s->exec_ended  ? TaskStatus::State::kCompleted
+             : s->exec_begun ? TaskStatus::State::kRunning
+                             : TaskStatus::State::kQueued;
+  st.shard = static_cast<std::uint16_t>(s->shard);
+  st.core = static_cast<std::uint16_t>(s->core);
+  st.rate_idx = static_cast<std::uint16_t>(s->rate_idx);
+  st.stolen = s->hops > 0;
+  st.cycles = s->cycles;
+  st.marginal = s->marginal;
+  st.trace = s->trace_id;
+  st.placed_s = s->placed_s;
+  return st;
 }
 
 double SchedulingService::now_s() const {
@@ -394,23 +373,10 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
   const std::uint64_t place_ns = now_ns_since(start_time_);
   const double place_s = static_cast<double>(place_ns) / 1e9;
   const std::uint64_t latency_us = (place_ns - msg.enqueue_ns) / 1000;
-  admission_latency_us_.observe(latency_us);
-  admission_exemplars_.observe(latency_us, msg.trace, place_s);
-
-  TaskStatus st;
-  st.state = TaskStatus::State::kQueued;
-  st.shard = static_cast<std::uint16_t>(shard.index);
-  st.core =
+  const auto core =
       static_cast<std::uint16_t>(shard.base_core + placement.core);
-  st.rate_idx = static_cast<std::uint16_t>(
+  const auto rate_idx = static_cast<std::uint16_t>(
       shard.lmc.queue(placement.core).rate_of(placement.ref));
-  st.stolen = msg.stolen;
-  st.cycles = msg.cycles;
-  st.marginal = placement.marginal;
-  st.trace = msg.trace;
-  st.placed_s = place_s;
-  status_upsert(msg.id, st);
-
   const double enqueue_s = static_cast<double>(msg.enqueue_ns) / 1e9;
   const double dequeue_s = static_cast<double>(dequeue_ns) / 1e9;
   const double recv_s = static_cast<double>(msg.recv_ns) / 1e9;
@@ -418,27 +384,26 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
       shard.lmc.queue(placement.core).size());
   const auto shard_u32 = static_cast<std::uint32_t>(shard.index);
 
+  // One record per task carries both its status and its trace. A steal
+  // forward arrives without a trace id and reads it back from the
+  // record its first hop wrote; the ingress step was appended on that
+  // first hop, so this hop starts at the steal forward.
   using obs::reqtrace::Stage;
   using obs::reqtrace::Step;
-  if (msg.stolen) {
-    // The ingress step was appended on the first hop; this hop starts at
-    // the steal forward.
-    traces_.append(
-        msg.id, msg.trace,
-        {Step{Stage::kStealHop, enqueue_s, msg.from_shard, shard_u32},
-         Step{Stage::kRingEnqueue, enqueue_s, shard_u32, 0},
-         Step{Stage::kRingDequeue, dequeue_s, shard_u32, 0},
-         Step{Stage::kPlacement, place_s, st.core, st.rate_idx},
-         Step{Stage::kShardQueue, place_s, st.core, depth}});
-  } else {
-    traces_.append(
-        msg.id, msg.trace,
-        {Step{Stage::kSubmitRecv, recv_s, 0, 0},
-         Step{Stage::kRingEnqueue, enqueue_s, shard_u32, 0},
-         Step{Stage::kRingDequeue, dequeue_s, shard_u32, 0},
-         Step{Stage::kPlacement, place_s, st.core, st.rate_idx},
-         Step{Stage::kShardQueue, place_s, st.core, depth}});
-  }
+  const Step first =
+      msg.stolen ? Step{Stage::kStealHop, enqueue_s, msg.from_shard, shard_u32}
+                 : Step{Stage::kSubmitRecv, recv_s, 0, 0};
+  const obs::reqtrace::TraceStore::Written written = traces_.append(
+      msg.id, msg.trace,
+      {first, Step{Stage::kRingEnqueue, enqueue_s, shard_u32, 0},
+       Step{Stage::kRingDequeue, dequeue_s, shard_u32, 0},
+       Step{Stage::kPlacement, place_s, core, rate_idx},
+       Step{Stage::kShardQueue, place_s, core, depth}},
+      obs::reqtrace::Cost{msg.cycles, placement.marginal});
+  if (written.evicted) status_evicted_.inc();
+  const std::uint64_t trace = written.trace_id;
+  admission_latency_us_.observe(latency_us);
+  admission_exemplars_.observe(latency_us, trace, place_s);
 
   if (shard.channel != nullptr) {
     using obs::dfr::Event;
@@ -448,7 +413,7 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
       e.type = static_cast<std::uint8_t>(type);
       e.time_s = time_s;
       e.task = msg.id;
-      e.u0 = msg.trace;
+      e.u0 = trace;
       return e;
     };
     if (!msg.stolen) {
@@ -478,8 +443,8 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
     place.type = static_cast<std::uint8_t>(EventType::kPlacement);
     place.time_s = place_s;
     place.task = msg.id;
-    place.core = st.core;
-    place.rate_idx = st.rate_idx;
+    place.core = core;
+    place.rate_idx = rate_idx;
     place.aux =
         static_cast<std::uint16_t>(obs::dfr::DecisionScope::kNonInteractive);
     place.flags = msg.stolen ? obs::dfr::kFlagStolen : 0;
@@ -489,8 +454,8 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
     shard.channel->record(place);
 
     Event shardq = span(EventType::kShardQueue, place_s);
-    shardq.core = st.core;
-    shardq.rate_idx = st.rate_idx;
+    shardq.core = core;
+    shardq.rate_idx = rate_idx;
     shardq.u0 = depth;  // depth, not trace id — documented in the format
     shard.channel->record(shardq);
   }
@@ -523,11 +488,6 @@ void SchedulingService::serve_steal(Shard& shard, const Msg& msg) {
     forward.id = dispatched->id;
     forward.cycles = dispatched->cycles;
     forward.enqueue_ns = now_ns_since(start_time_);
-    // The trace id lives in the status entry written at first placement
-    // (0 if it was already evicted: the hop still traces, unlinked).
-    if (const auto st = status(dispatched->id); st.has_value()) {
-      forward.trace = st->trace;
-    }
     requester.enqueued.fetch_add(1, std::memory_order_seq_cst);
     // The requester's worker is live and consuming, so this push can
     // only stall while its ring is momentarily full.
@@ -596,16 +556,7 @@ void SchedulingService::virtual_execute(Shard& shard) {
     if (run.active && now >= run.finish_s) {
       run.active = false;
       completed_.inc();
-      {
-        StatusStripe& stripe = *status_[route(run.id, status_.size())];
-        std::lock_guard<std::mutex> lock(stripe.mu);
-        const auto it = stripe.by_id.find(run.id);
-        if (it != stripe.by_id.end()) {
-          it->second.state = TaskStatus::State::kCompleted;
-        }
-      }
-      traces_.append(run.id, run.trace,
-                     {Step{Stage::kExecEnd, now, core, 0}});
+      (void)traces_.extend(run.id, {Step{Stage::kExecEnd, now, core, 0}});
       if (shard.channel != nullptr) {
         obs::dfr::Event end;
         end.type = static_cast<std::uint8_t>(obs::dfr::EventType::kExecEnd);
@@ -627,24 +578,16 @@ void SchedulingService::virtual_execute(Shard& shard) {
       run.trace = 0;
       run.finish_s = now + model_.task_time(next->cycles, next->rate_idx) *
                                options_.time_scale;
-      {
-        // The placement wrote trace id and placement instant into the
-        // status entry; dispatching is where queue wait becomes known.
-        StatusStripe& stripe = *status_[route(next->id, status_.size())];
-        std::lock_guard<std::mutex> lock(stripe.mu);
-        const auto it = stripe.by_id.find(next->id);
-        if (it != stripe.by_id.end()) {
-          it->second.state = TaskStatus::State::kRunning;
-          run.trace = it->second.trace;
-          const double waited_s = now - it->second.placed_s;
-          const auto waited_us = static_cast<std::uint64_t>(
-              std::max(0.0, waited_s) * 1e6);
-          queue_wait_us_.observe(waited_us);
-          queue_wait_exemplars_.observe(waited_us, run.trace, now);
-        }
+      // The placement wrote trace id and placement instant into the
+      // task's record; dispatching is where queue wait becomes known.
+      if (const auto s = traces_.extend(
+              next->id, {Step{Stage::kExecBegin, now, core, 0}})) {
+        run.trace = s->trace_id;
+        const auto waited_us = static_cast<std::uint64_t>(
+            std::max(0.0, now - s->placed_s) * 1e6);
+        queue_wait_us_.observe(waited_us);
+        queue_wait_exemplars_.observe(waited_us, run.trace, now);
       }
-      traces_.append(next->id, run.trace,
-                     {Step{Stage::kExecBegin, now, core, 0}});
       if (shard.channel != nullptr) {
         obs::dfr::Event begin;
         begin.type =

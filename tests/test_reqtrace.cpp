@@ -244,18 +244,136 @@ TEST(TraceStore, AppendsMergesAndSortsSteps) {
   EXPECT_EQ(store.evicted(), 0u);
 }
 
-TEST(TraceStore, EvictsOldestPerStripeBeyondCapacity) {
-  TraceStore store(64, 4);  // 16 tasks per stripe
-  for (std::uint64_t task = 1; task <= 500; ++task) {
+/// Inserts tasks 1..`inserts` into a fresh store and checks exact
+/// per-stripe FIFO: precisely the newest `capacity / stripes` tasks of
+/// each stripe survive, and every other insert was evicted. Stripes are
+/// the service's admission route.
+void expect_exact_fifo(std::size_t capacity, std::size_t stripes,
+                       std::uint64_t inserts) {
+  TraceStore store(capacity, stripes);
+  std::vector<std::vector<std::uint64_t>> by_stripe(stripes);
+  for (std::uint64_t task = 1; task <= inserts; ++task) {
     store.append(task, task, {step(Stage::kSubmitRecv, 0.0)});
+    by_stripe[svc::SchedulingService::route(task, stripes)].push_back(task);
   }
-  std::size_t found = 0;
-  for (std::uint64_t task = 1; task <= 500; ++task) {
-    if (store.get(task).has_value()) ++found;
+  const std::size_t per_stripe = capacity / stripes;
+  std::uint64_t kept = 0;
+  for (const auto& ids : by_stripe) {
+    const std::size_t first_kept =
+        ids.size() > per_stripe ? ids.size() - per_stripe : 0;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const auto t = store.get(ids[i]);
+      ASSERT_EQ(t.has_value(), i >= first_kept) << "task " << ids[i];
+      if (t.has_value()) {
+        EXPECT_EQ(t->trace_id, ids[i]);
+      }
+    }
+    kept += ids.size() - first_kept;
   }
-  EXPECT_LE(found, 64u);
-  EXPECT_GT(found, 0u);
-  EXPECT_EQ(store.evicted(), 500u - found);
+  EXPECT_EQ(store.evicted(), inserts - kept);
+}
+
+TEST(TraceStore, EvictsOldestPerStripeBeyondCapacity) {
+  expect_exact_fifo(64, 4, 500);  // 16 tasks per stripe
+}
+
+TEST(TraceStore, KeepsExactlyTheNewestPerStripeAtEightTimesCapacity) {
+  expect_exact_fifo(64, 4, 8 * 64);
+  expect_exact_fifo(1024, 2, 8 * 1024);
+  expect_exact_fifo(5, 3, 8 * 5);  // uneven: one task per stripe
+}
+
+// The out-of-line path keeps every step: ingress, two steal hops and
+// execution come back as the 17 steps a node-per-step store would hold,
+// and render to the same JSON as the hand-built timeline.
+TEST(TraceStore, StealHopsRoundTripLosslessly) {
+  const std::vector<Step> ingress = {
+      step(Stage::kSubmitRecv, 1.0), step(Stage::kRingEnqueue, 1.5, 0),
+      step(Stage::kRingDequeue, 2.0, 0), step(Stage::kPlacement, 2.5, 1, 3),
+      step(Stage::kShardQueue, 2.5, 1, 7)};
+  const std::vector<Step> hop1 = {
+      step(Stage::kStealHop, 3.0, 0, 1), step(Stage::kRingEnqueue, 3.0, 1),
+      step(Stage::kRingDequeue, 3.25, 1), step(Stage::kPlacement, 3.5, 2, 4),
+      step(Stage::kShardQueue, 3.5, 2, 2)};
+  const std::vector<Step> hop2 = {
+      step(Stage::kStealHop, 4.0, 1, 0), step(Stage::kRingEnqueue, 4.0, 0),
+      step(Stage::kRingDequeue, 4.5, 0), step(Stage::kPlacement, 4.75, 0, 1),
+      step(Stage::kShardQueue, 4.75, 0, 1)};
+  TraceStore store(100);
+  const auto append5 = [&](const std::vector<Step>& s, std::uint64_t trace) {
+    return store.append(9, trace, {s[0], s[1], s[2], s[3], s[4]});
+  };
+  EXPECT_EQ(append5(ingress, 0xfeed).trace_id, 0xfeedu);
+  EXPECT_EQ(append5(hop1, 0).trace_id, 0xfeedu);  // 0 reads the id back
+  EXPECT_EQ(append5(hop2, 0).trace_id, 0xfeedu);
+  ASSERT_TRUE(store.extend(9, {step(Stage::kExecBegin, 5.0, 0)}));
+  ASSERT_TRUE(store.extend(9, {step(Stage::kExecEnd, 6.0, 0)}));
+  EXPECT_FALSE(store.extend(10, {step(Stage::kExecEnd, 6.0, 0)}));
+  EXPECT_FALSE(store.get(10).has_value());  // extend never creates
+
+  Timeline want;
+  want.task = 9;
+  want.trace_id = 0xfeed;
+  for (const auto* part : {&ingress, &hop1, &hop2}) {
+    want.steps.insert(want.steps.end(), part->begin(), part->end());
+  }
+  want.steps.push_back(step(Stage::kExecBegin, 5.0, 0));
+  want.steps.push_back(step(Stage::kExecEnd, 6.0, 0));
+  sort_steps(want.steps);
+
+  const auto got = store.get(9);
+  ASSERT_TRUE(got.has_value());
+  ASSERT_EQ(got->steps.size(), 17u);
+  for (std::size_t i = 0; i < 17; ++i) {
+    EXPECT_EQ(got->steps[i].stage, want.steps[i].stage) << "step " << i;
+    EXPECT_EQ(got->steps[i].t_s, want.steps[i].t_s) << "step " << i;
+    EXPECT_EQ(got->steps[i].a, want.steps[i].a) << "step " << i;
+    EXPECT_EQ(got->steps[i].b, want.steps[i].b) << "step " << i;
+  }
+  EXPECT_EQ(got->hops(), 2u);
+  EXPECT_EQ(timeline_json(*got).dump(-1), timeline_json(want).dump(-1));
+
+  // The summary follows the last hop.
+  const auto sum = store.summary(9);
+  ASSERT_TRUE(sum.has_value());
+  EXPECT_EQ(sum->trace_id, 0xfeedu);
+  EXPECT_EQ(sum->hops, 2u);
+  EXPECT_EQ(sum->shard, 0u);
+  EXPECT_EQ(sum->core, 0u);
+  EXPECT_EQ(sum->rate_idx, 1u);
+  EXPECT_EQ(sum->placed_s, 4.75);
+  EXPECT_TRUE(sum->exec_begun);
+  EXPECT_TRUE(sum->exec_ended);
+}
+
+// A step that disagrees with the record's shared fields (here a shard
+// queue on another core than the placement) is kept out of line rather
+// than dropped, and same-instant duplicates keep their append order.
+TEST(TraceStore, StepsThatDoNotFitTheirSlotAreKept) {
+  TraceStore store(8, 1);
+  store.append(1, 5,
+               {step(Stage::kPlacement, 1.0, 2, 1),
+                step(Stage::kShardQueue, 1.0, 3, 4),
+                step(Stage::kShardQueue, 1.0, 2, 9),
+                step(Stage::kSubmitRecv, 0.5, 7, 0)},
+               Cost{123, 0.25});
+  const auto t = store.get(1);
+  ASSERT_TRUE(t.has_value());
+  ASSERT_EQ(t->steps.size(), 4u);
+  EXPECT_EQ(t->steps[0].stage, Stage::kSubmitRecv);
+  EXPECT_EQ(t->steps[0].a, 7u);
+  EXPECT_EQ(t->steps[1].stage, Stage::kPlacement);
+  EXPECT_EQ(t->steps[2].a, 3u);
+  EXPECT_EQ(t->steps[2].b, 4u);
+  EXPECT_EQ(t->steps[3].a, 2u);
+  EXPECT_EQ(t->steps[3].b, 9u);
+  const auto sum = store.summary(1);
+  ASSERT_TRUE(sum.has_value());
+  EXPECT_EQ(sum->cycles, 123u);
+  EXPECT_EQ(sum->marginal, 0.25);
+  EXPECT_EQ(sum->core, 2u);
+  EXPECT_EQ(sum->hops, 0u);
+  EXPECT_FALSE(sum->exec_begun);
 }
 
 TEST(ExemplarSeries, TracksTheLatestSamplePerBucket) {

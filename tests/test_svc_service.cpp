@@ -4,6 +4,7 @@
 /// backpressure, work stealing, status eviction, virtual execution, and
 /// the recorder integration. Run under TSan in CI.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -233,16 +234,73 @@ TEST(SchedulingService, StatusStoreEvictsOldestBeyondCapacity) {
     ASSERT_TRUE(svc.submit(id, 1'000'000).accepted);
   }
   svc.drain();
-  std::size_t found = 0;
+  // Exact per-stripe FIFO: a shard places its ring in submission order,
+  // so precisely the newest capacity / shards ids of each route survive.
+  std::vector<std::vector<core::TaskId>> by_route(2);
   for (core::TaskId id = 1; id <= 500; ++id) {
-    if (svc.status(id).has_value()) ++found;
+    by_route[SchedulingService::route(id, 2)].push_back(id);
   }
-  // Per-stripe FIFO bound: at most capacity survives, newest last.
-  EXPECT_LE(found, opts.status_capacity);
-  EXPECT_GT(found, 0u);
-  EXPECT_EQ(registry.counter("svc.status.evicted").value(), 500u - found);
-  // The newest id per stripe is never the evicted one.
-  EXPECT_TRUE(svc.status(500).has_value() || svc.status(499).has_value());
+  for (const auto& ids : by_route) {
+    ASSERT_GT(ids.size(), 16u);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(svc.status(ids[i]).has_value(), i + 16 >= ids.size())
+          << "task " << ids[i];
+    }
+  }
+  EXPECT_EQ(registry.counter("svc.status.evicted").value(), 500u - 32u);
+  EXPECT_EQ(svc.traces().evicted(), 500u - 32u);
+}
+
+// Status and trace are one record: churning far past capacity — with
+// steals writing into the victim's stripe and execution annotating
+// records — never leaves a status without its trace or the reverse.
+TEST(SchedulingService, StatusAndTraceAreEvictedTogether) {
+  obs::Registry registry;
+  ServiceOptions opts;
+  opts.shards = 2;
+  opts.cores = 4;
+  opts.steal_ratio = 1.5;
+  opts.steal_min_queue = 4;
+  opts.status_capacity = 64;
+  opts.time_scale = 1e-3;
+  opts.registry = &registry;
+  SchedulingService svc(test_model(), kParams, opts);
+  svc.start();
+  std::vector<std::uint64_t> tickets(1, 0);  // trace by task id
+  std::size_t submitted = 0;
+  core::TaskId id = 1;
+  for (; submitted < 3000; ++id) {
+    tickets.push_back(0);
+    // Most tasks aim at shard 0, so shard 1 steals.
+    if (id % 3 != 0 && SchedulingService::route(id, 2) != 0) continue;
+    const auto ticket = svc.submit(id, 5'000'000);
+    ASSERT_TRUE(ticket.accepted);
+    tickets[id] = ticket.trace;
+    ++submitted;
+  }
+  svc.drain();
+  std::size_t held = 0;
+  for (core::TaskId t = 1; t < id; ++t) {
+    const std::optional<TaskStatus> st = svc.status(t);
+    const auto tl = svc.traces().get(t);
+    ASSERT_EQ(st.has_value(), tl.has_value()) << "task " << t;
+    if (!st.has_value()) continue;
+    ++held;
+    EXPECT_EQ(st->trace, tl->trace_id) << "task " << t;
+    // A steal hop that finds its task's record evicted re-creates it
+    // without the ingress step or the trace id (the hop traces unlinked).
+    const bool recreated =
+        tl->steps.front().stage != obs::reqtrace::Stage::kSubmitRecv;
+    EXPECT_EQ(st->trace, recreated ? 0 : tickets[t]) << "task " << t;
+    EXPECT_EQ(st->stolen, tl->stolen()) << "task " << t;
+  }
+  EXPECT_LE(held, opts.status_capacity);
+  EXPECT_GT(held, 0u);
+  EXPECT_EQ(registry.counter("svc.status.evicted").value(),
+            svc.traces().evicted());
+  // A steal hop re-creates the record of a task evicted while it was
+  // queued, so there can be more inserts (and evictions) than tasks.
+  EXPECT_GE(svc.traces().evicted(), 3000u - held);
 }
 
 TEST(SchedulingService, VirtualExecutionCompletesQueuedTasks) {
@@ -377,6 +435,73 @@ TEST(SchedulingService, ConcurrentSubmittersAllLandExactlyOnce) {
   std::size_t total_len = 0;
   for (std::size_t s = 0; s < 4; ++s) total_len += svc.shard_queue_len(s);
   EXPECT_EQ(total_len, kThreads * kPerThread);
+}
+
+// Steals write into the victim's stripe while a reader hammers both
+// lookups: every read must be internally consistent — the core belongs
+// to the reported shard, the trace id is the one minted at submit, and a
+// timeline holds one placement per hop.
+TEST(SchedulingService, ReadsStayConsistentWhileStealsWriteVictimStripes) {
+  obs::Registry registry;
+  ServiceOptions opts;
+  opts.shards = 2;
+  opts.cores = 4;
+  opts.steal_ratio = 1.5;
+  opts.steal_min_queue = 4;
+  opts.registry = &registry;
+  SchedulingService svc(test_model(), kParams, opts);
+  svc.start();
+  constexpr std::size_t kTasks = 2000;
+  std::vector<core::TaskId> ids;
+  for (core::TaskId id = 1; ids.size() < kTasks; ++id) {
+    if (SchedulingService::route(id, 2) == 0) ids.push_back(id);
+  }
+  std::vector<std::uint64_t> traces(kTasks, 0);
+  std::atomic<std::size_t> published{0};
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> stolen_reads{0};
+  std::atomic<std::uint64_t> bad{0};
+  std::thread reader([&] {
+    proptest::SplitMix64 rng(17);
+    while (!stop.load(std::memory_order_acquire)) {
+      const std::size_t n = published.load(std::memory_order_acquire);
+      if (n == 0) continue;
+      const std::size_t k = rng.uniform_index(n);
+      const core::TaskId id = ids[k];
+      const std::optional<TaskStatus> st = svc.status(id);
+      const auto tl = svc.traces().get(id);
+      if (!st.has_value() || !tl.has_value()) continue;  // not placed yet
+      reads.fetch_add(1, std::memory_order_relaxed);
+      std::size_t placements = 0;
+      for (const auto& s : tl->steps) {
+        placements += s.stage == obs::reqtrace::Stage::kPlacement ? 1 : 0;
+      }
+      const bool ok = st->core / 2 == st->shard && st->shard < 2 &&
+                      st->trace == traces[k] && tl->trace_id == traces[k] &&
+                      placements == 1 + tl->hops() &&
+                      tl->steps.front().stage ==
+                          obs::reqtrace::Stage::kSubmitRecv;
+      if (!ok) bad.fetch_add(1, std::memory_order_relaxed);
+      if (st->stolen) stolen_reads.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  for (std::size_t k = 0; k < kTasks; ++k) {
+    const auto ticket = svc.submit(ids[k], 5'000'000);
+    ASSERT_TRUE(ticket.accepted);
+    traces[k] = ticket.trace;
+    published.store(k + 1, std::memory_order_release);
+  }
+  const bool migrated = eventually([&] {
+    return svc.stolen() > 0 &&
+           stolen_reads.load(std::memory_order_relaxed) > 0;
+  });
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  svc.drain();
+  EXPECT_TRUE(migrated) << "no stolen task was read within the timeout";
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(bad.load(), 0u);
 }
 
 }  // namespace
