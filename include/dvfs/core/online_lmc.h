@@ -46,28 +46,26 @@ class LmcScheduler {
     std::size_t core = 0;
     DynamicSingleCoreScheduler::TaskRef ref = nullptr;
     Money marginal = 0.0;
+    std::size_t position = 0;  ///< backward position taken (1 = runs last)
   };
 
   /// Places a non-interactive task on the least-marginal-cost core and
-  /// returns where it went. O(R * (|P-hat| + log N)).
-  Placement place_non_interactive(Cycles cycles, TaskId id);
-
-  /// Like place_non_interactive, but adds `extra_cost[j]` to core j's
-  /// probed marginal before taking the argmin. An executor uses this to
-  /// charge work the queues cannot see — e.g. Rt times the remaining
-  /// seconds of the task currently running on core j, which delays
-  /// everything queued behind it.
-  Placement place_non_interactive(Cycles cycles, TaskId id,
-                                  std::span<const Money> extra_cost);
-
-  /// Same, additionally exposing the full candidate vector: when
-  /// `probed_marginals` is non-null it is resized to num_cores() and
-  /// filled with every core's probed marginal (extra_cost included) —
-  /// the rejected alternatives the flight recorder persists alongside
-  /// the decision. Passing nullptr costs nothing extra.
-  Placement place_non_interactive(Cycles cycles, TaskId id,
-                                  std::span<const Money> extra_cost,
-                                  std::vector<Money>* probed_marginals);
+  /// returns where it went; the winner's peek probe drives its insert.
+  /// O(R * (|P-hat| + log N)).
+  ///
+  /// A non-empty `extra_cost` adds `extra_cost[j]` to core j's probed
+  /// marginal before taking the argmin. An executor uses this to charge
+  /// work the queues cannot see — e.g. Rt times the remaining seconds of
+  /// the task currently running on core j, which delays everything queued
+  /// behind it.
+  ///
+  /// When `probed_marginals` is non-null it is resized to num_cores() and
+  /// filled with every core's probed marginal (extra_cost included) — the
+  /// rejected alternatives the flight recorder persists alongside the
+  /// decision. Passing nullptr costs nothing extra.
+  Placement place_non_interactive(
+      Cycles cycles, TaskId id, std::span<const Money> extra_cost = {},
+      std::vector<Money>* probed_marginals = nullptr);
 
   /// Chooses the core for an interactive task per Eq. 27. `extra_waiting`
   /// optionally adds per-core waiting work the queues do not know about
@@ -133,6 +131,8 @@ class LmcScheduler {
   // nothing after the first call.
   mutable std::vector<Money> scan_;
   mutable std::vector<double> waiting_;
+  // Each core's probe from the last scan, for the winner's insert.
+  std::vector<DynamicSingleCoreScheduler::Probe> probes_;
 };
 
 }  // namespace dvfs::core

@@ -104,7 +104,8 @@ class FlatRangeTree {
   /// Handle of the element at 1-based rank k. O(log N).
   [[nodiscard]] Handle select(std::size_t k) const;
 
-  /// Aggregates of the first k elements. O(log N); k == 0 gives zeros.
+  /// Aggregates of the first k elements. O(log N); k == 0 gives zeros and
+  /// k == size() is the root's own fold, O(fanout).
   [[nodiscard]] PrefixStats prefix(std::size_t k) const;
 
   /// xi([a,b]): sum of weights at ranks a..b (inclusive). Empty if a > b.
@@ -114,8 +115,16 @@ class FlatRangeTree {
   [[nodiscard]] double range_wsum(std::size_t a, std::size_t b) const;
 
   /// Rank a new element of `weight` would occupy if inserted now (equal
-  /// weights are stable, so the new element lands after them). O(log N).
-  [[nodiscard]] std::size_t insertion_rank(double weight) const;
+  /// weights are stable, so it lands after them) and the weight sum before
+  /// it, bitwise `prefix(rank - 1).sum`. One O(log N) descent.
+  struct InsertionPoint {
+    std::size_t rank = 1;
+    double prefix_sum = 0.0;
+  };
+  [[nodiscard]] InsertionPoint insertion_point(double weight) const;
+  [[nodiscard]] std::size_t insertion_rank(double weight) const {
+    return insertion_point(weight).rank;
+  }
 
   /// In-order neighbors (nullptr at the ends). O(1) amortized: one leaf
   /// scan, stepping through the doubly linked leaf list at boundaries.

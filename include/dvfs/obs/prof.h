@@ -80,10 +80,11 @@ inline constexpr std::uint16_t kNoShard = 0xffff;
 
 /// Thread-local attribution markers. Plain TLS bytes so the stores are
 /// branch-free and safe to read from the signal handler; cheap enough to
-/// leave in the hot path whether or not a profiler is running.
+/// leave in the hot path whether or not a profiler is running. constinit:
+/// a direct TLS store, no call through a TLS init wrapper.
 namespace detail {
-extern thread_local std::uint8_t tls_stage;
-extern thread_local std::uint16_t tls_shard;
+extern constinit thread_local std::uint8_t tls_stage;
+extern constinit thread_local std::uint16_t tls_shard;
 }  // namespace detail
 
 inline void set_stage(Stage s) noexcept {

@@ -48,12 +48,15 @@ void DynamicSingleCoreScheduler::refresh_cost() {
 }
 
 DynamicSingleCoreScheduler::TaskRef DynamicSingleCoreScheduler::insert(
-    Cycles cycles, TaskId id) {
+    Cycles cycles, TaskId id, const Probe& probe) {
   DVFS_REQUIRE(cycles > 0, "tasks need a positive cycle count");
+  DVFS_REQUIRE(probe.size == tree_.size() && probe.cycles == cycles,
+               "stale probe: the queue changed since the peek");
   const double w = static_cast<double>(cycles);
+  // Ties land after their equals, as the probe counted them: rank == k.
   const TaskRef node = tree_.insert(w, id);
-  const std::size_t k = tree_.rank(node);
-  std::size_t i = range_index_of(k);
+  const std::size_t k = probe.position;
+  std::size_t i = probe.range;
   RangeState* r = &ranges_[i];
 
   // Algorithm 5 lines 4-8: absorb the new element into its range; every
@@ -141,12 +144,13 @@ void DynamicSingleCoreScheduler::erase(TaskRef ref) {
 }
 
 Money DynamicSingleCoreScheduler::peek_marginal_insert_cost(
-    Cycles cycles) const {
+    Cycles cycles, Probe* probe) const {
   DVFS_REQUIRE(cycles > 0, "tasks need a positive cycle count");
   const double w = static_cast<double>(cycles);
-  const std::size_t n = tree_.size();
-  const std::size_t k = tree_.insertion_rank(w);
+  const Tree::InsertionPoint at = tree_.insertion_point(w);
+  const std::size_t k = at.rank;
   const std::size_t i = range_index_of(k);
+  if (probe != nullptr) *probe = Probe{k, i, tree_.size(), cycles};
 
   // The newcomer itself at backward position k.
   Money delta =
@@ -163,7 +167,8 @@ Money DynamicSingleCoreScheduler::peek_marginal_insert_cost(
         st.hi != ds::IntegerRange::kUnbounded && st.b == st.hi;
     double shifted_mass;
     if (r == i) {
-      shifted_mass = (k <= st.b && k <= n) ? tree_.range_sum(k, st.b) : 0.0;
+      // range_sum(k, b), reusing the probe's prefix(k - 1).
+      shifted_mass = k <= st.b ? tree_.prefix(st.b).sum - at.prefix_sum : 0.0;
     } else {
       shifted_mass = st.x;
     }

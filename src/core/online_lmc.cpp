@@ -27,16 +27,6 @@ LmcScheduler::LmcScheduler(std::vector<CostTable> tables) {
   }
 }
 
-LmcScheduler::Placement LmcScheduler::place_non_interactive(Cycles cycles,
-                                                            TaskId id) {
-  return place_non_interactive(cycles, id, {});
-}
-
-LmcScheduler::Placement LmcScheduler::place_non_interactive(
-    Cycles cycles, TaskId id, std::span<const Money> extra_cost) {
-  return place_non_interactive(cycles, id, extra_cost, nullptr);
-}
-
 LmcScheduler::Placement LmcScheduler::place_non_interactive(
     Cycles cycles, TaskId id, std::span<const Money> extra_cost,
     std::vector<Money>* probed_marginals) {
@@ -49,8 +39,9 @@ LmcScheduler::Placement LmcScheduler::place_non_interactive(
   // are deterministic.
   const std::size_t n = queues_.size();
   scan_.resize(n);
+  probes_.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
-    scan_[j] = queues_[j].peek_marginal_insert_cost(cycles);
+    scan_[j] = queues_[j].peek_marginal_insert_cost(cycles, &probes_[j]);
   }
   if (!extra_cost.empty()) {
     for (std::size_t j = 0; j < n; ++j) scan_[j] += extra_cost[j];
@@ -63,8 +54,9 @@ LmcScheduler::Placement LmcScheduler::place_non_interactive(
   if (probed_marginals != nullptr) {
     probed_marginals->assign(scan_.begin(), scan_.end());
   }
-  const auto ref = queues_[best_core].insert(cycles, id);
-  return Placement{best_core, ref, best_marginal};
+  const DynamicSingleCoreScheduler::Probe& at = probes_[best_core];
+  const auto ref = queues_[best_core].insert(cycles, id, at);
+  return Placement{best_core, ref, best_marginal, at.position};
 }
 
 std::size_t LmcScheduler::choose_interactive_core(

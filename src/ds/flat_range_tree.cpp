@@ -443,6 +443,10 @@ PrefixStats FlatRangeTree::prefix(std::size_t k) const {
   DVFS_REQUIRE(k <= size_, "prefix length out of range");
   PrefixStats acc;
   if (k == 0) return acc;
+  if (k == size_) {  // a full descent absorbs the root's entries in order
+    const Totals t = totals_of(root_);
+    return PrefixStats{k, t.sum, t.wsum};
+  }
   std::uint32_t idx = root_;
   while (!node(idx).is_leaf) {
     const Node& n = node(idx);
@@ -486,22 +490,29 @@ double FlatRangeTree::range_wsum(std::size_t a, std::size_t b) const {
   return wsum_abs - static_cast<double>(a - 1) * sum;
 }
 
-std::size_t FlatRangeTree::insertion_rank(double weight) const {
-  if (root_ == kNil) return 1;
-  std::size_t r = 1;
+FlatRangeTree::InsertionPoint FlatRangeTree::insertion_point(
+    double weight) const {
+  // Skipped children (minw >= weight) are added in the order prefix()
+  // absorbs them. Only the root can be skipped whole: that is prefix(size()).
+  InsertionPoint p;
+  if (root_ == kNil) return p;
   std::uint32_t idx = root_;
   while (!node(idx).is_leaf) {
     const Node& n = node(idx);
     std::size_t i = 0;
-    while (i + 1 < n.num && n.u.inner.minw[i] >= weight) {
-      r += n.u.inner.cnt[i];
-      ++i;
+    for (; i < n.num && n.u.inner.minw[i] >= weight; ++i) {
+      p.rank += n.u.inner.cnt[i];
+      p.prefix_sum += n.u.inner.sum[i];
     }
+    if (i == n.num) return p;
     idx = n.u.inner.child[i];
   }
   const Node& l = node(idx);
-  for (std::size_t j = 0; j < l.num && l.u.leaf.weight[j] >= weight; ++j) ++r;
-  return r;
+  for (std::size_t j = 0; j < l.num && l.u.leaf.weight[j] >= weight; ++j) {
+    ++p.rank;
+    p.prefix_sum += l.u.leaf.weight[j];
+  }
+  return p;
 }
 
 FlatRangeTree::Handle FlatRangeTree::predecessor(Handle h) const {

@@ -37,8 +37,8 @@
 namespace dvfs::obs::prof {
 
 namespace detail {
-thread_local std::uint8_t tls_stage = 0;
-thread_local std::uint16_t tls_shard = kNoShard;
+constinit thread_local std::uint8_t tls_stage = 0;
+constinit thread_local std::uint16_t tls_shard = kNoShard;
 }  // namespace detail
 
 const char* to_string(Stage s) {
@@ -124,9 +124,10 @@ void ring_drain(ThreadState& st, std::vector<Sample>& out) {
 
 /// Frame-pointer walk from the interrupted context. Every dereference is
 /// bounds-checked against the thread's stack, so a frame-pointer-less
-/// callee degrades to a short stack, never a fault. Leaf first.
-std::uint8_t walk_stack(const void* ucv, const ThreadState& st,
-                        std::uint64_t* out) noexcept {
+/// callee degrades to a short stack, never a fault. Leaf first. Reading
+/// other frames is the point, so ASan must not check it.
+__attribute__((no_sanitize("address"))) std::uint8_t walk_stack(
+    const void* ucv, const ThreadState& st, std::uint64_t* out) noexcept {
   std::uintptr_t pc = 0;
   std::uintptr_t fp = 0;
 #if defined(__x86_64__)

@@ -551,11 +551,11 @@ std::optional<Exemplar> ExemplarSeries::bucket(std::size_t i) const noexcept {
     const std::uint64_t s1 = s.seq.load(std::memory_order_acquire);
     if (s1 == 0) return std::nullopt;  // never written
     if ((s1 & 1) != 0) continue;       // writer in flight
+    // Acquire loads order the seq re-read after them (no fence: TSan).
     Exemplar e;
-    e.trace_id = s.trace.load(std::memory_order_relaxed);
-    e.value = s.value.load(std::memory_order_relaxed);
-    e.t_s = std::bit_cast<double>(s.t_bits.load(std::memory_order_relaxed));
-    std::atomic_thread_fence(std::memory_order_acquire);
+    e.trace_id = s.trace.load(std::memory_order_acquire);
+    e.value = s.value.load(std::memory_order_acquire);
+    e.t_s = std::bit_cast<double>(s.t_bits.load(std::memory_order_acquire));
     if (s.seq.load(std::memory_order_relaxed) == s1) return e;
   }
   return std::nullopt;  // writer storm; skip the exemplar this scrape

@@ -376,7 +376,7 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
   const auto core =
       static_cast<std::uint16_t>(shard.base_core + placement.core);
   const auto rate_idx = static_cast<std::uint16_t>(
-      shard.lmc.queue(placement.core).rate_of(placement.ref));
+      shard.lmc.queue(placement.core).table().best_rate(placement.position));
   const double enqueue_s = static_cast<double>(msg.enqueue_ns) / 1e9;
   const double dequeue_s = static_cast<double>(dequeue_ns) / 1e9;
   const double recv_s = static_cast<double>(msg.recv_ns) / 1e9;

@@ -133,6 +133,46 @@ TEST(FlatRangeTree, MoveSemantics) {
   EXPECT_DOUBLE_EQ(FlatRangeTree::weight(v.select(1)), 2.0);
 }
 
+TEST(FlatRangeTree, InsertionPointMatchesOracleAndPrefixAcrossShapes) {
+  // Empty, single element, a full leaf root, its first split, two levels,
+  // across arena chunks (3000 elements), and three levels (8000). Weights
+  // sit on a coarse grid of thirds, so most probes tie with live elements
+  // and sums round (an addition order other than prefix()'s shows);
+  // each size is probed at every live weight, between weights, above the
+  // heaviest (all lighter: rank 1) and below the lightest (all heavier:
+  // rank n + 1, the root fold).
+  for (const std::size_t n : {0, 1, 28, 29, 420, 3000, 8000}) {
+    FlatRangeTree flat;
+    Oracle oracle;
+    proptest::SplitMix64 g(n + 1);
+    const std::uint64_t top = n / 4 + 2;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double w = static_cast<double>(g.uniform_u64(1, top)) / 3.0;
+      flat.insert(w, i);
+      oracle.insert(w, i);
+    }
+    if (n >= 3000) {
+      ASSERT_GE(flat.arena_chunk_count(), 2u);
+    }
+    ASSERT_TRUE(flat.validate());
+    for (std::uint64_t v = 0; v <= top + 1; ++v) {
+      for (const double w : {static_cast<double>(v) / 3.0, (v + 0.5) / 3.0}) {
+        const FlatRangeTree::InsertionPoint at = flat.insertion_point(w);
+        ASSERT_EQ(at.rank, oracle.insertion_rank(w)) << "n " << n << " w " << w;
+        EXPECT_EQ(at.rank, flat.insertion_rank(w));
+        EXPECT_EQ(at.prefix_sum, flat.prefix(at.rank - 1).sum)
+            << "n " << n << " w " << w;
+      }
+    }
+    if (n > 0) {
+      EXPECT_EQ(flat.insertion_point(0.0).rank, n + 1);
+      EXPECT_EQ(flat.insertion_point(static_cast<double>(top)).rank, 1u);
+      EXPECT_TRUE(close(flat.prefix(n).sum, oracle.prefix(n).sum));
+      EXPECT_TRUE(close(flat.prefix(n).wsum, oracle.prefix(n).wsum));
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Differential fuzz with shrinking
 // ---------------------------------------------------------------------------
@@ -258,6 +298,18 @@ std::optional<std::string> run_script(const std::vector<Op>& script,
     const double probe = q.uniform_real(0.0, 1001.0);
     if (flat.insertion_rank(probe) != oracle.insertion_rank(probe)) {
       return fail(step, "insertion_rank mismatch");
+    }
+    // The fused probe, for the same weight and for a live weight (a tie):
+    // the oracle's rank, and bitwise prefix(rank - 1).sum.
+    for (const double w :
+         {probe, FlatRangeTree::weight(fh[q.uniform_index(fh.size())])}) {
+      const FlatRangeTree::InsertionPoint at = flat.insertion_point(w);
+      if (at.rank != oracle.insertion_rank(w)) {
+        return fail(step, "insertion_point rank mismatch");
+      }
+      if (at.prefix_sum != flat.prefix(at.rank - 1).sum) {
+        return fail(step, "insertion_point prefix_sum differs from prefix()");
+      }
     }
     // Ordered traversal via the leaf links matches the treap threading.
     auto hf = flat.first();

@@ -1,9 +1,11 @@
 #include "dvfs/core/online_lmc.h"
 
 #include "dvfs/core/batch_multi.h"
+#include "dvfs/proptest/rng.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <random>
 #include <vector>
 
@@ -218,6 +220,59 @@ TEST_P(LmcVsWbgBound, QueueCostNeverBeatsWbgOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LmcVsWbgBound,
                          ::testing::Values(31u, 62u, 93u));
+
+// Pins every decision of a long placement/dispatch stream bit for bit:
+// the core, backward position, marginal and running queue cost of each
+// placement, and the id, rate and queue cost after each dispatch, folded
+// into one FNV-1a hash. The constant was printed by this same stream on
+// the scheduler before placements reused their peek's tree descent, so a
+// change to how positions or range masses are computed that moves any
+// bit fails here. Cycle counts come from SplitMix64 with integer
+// arithmetic only (portable across standard libraries) on a coarse grid,
+// so ties are common; a queue holds ~10^16 cycles, past 2^53, so its
+// sums round and a change in their addition order shows.
+TEST(Lmc, DecisionStreamIsBitIdenticalToPinnedHash) {
+  struct Fnv64 {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    void add(std::uint64_t v) {
+      for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xFFu;
+        h *= 0x100000001b3ull;
+      }
+    }
+    void add_bits(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  } fnv;
+  LmcScheduler lmc = make_homogeneous(2);
+  const auto dispatch = [&](std::size_t core) {
+    const auto d = lmc.pop_next(core);
+    ASSERT_TRUE(d.has_value());
+    fnv.add(d->id);
+    fnv.add(d->rate_idx);
+    fnv.add_bits(lmc.total_queue_cost());
+  };
+  proptest::SplitMix64 g(7);
+  for (TaskId id = 0; id < 200'000; ++id) {
+    Cycles c = 999'999'937 * g.uniform_u64(10, 300);
+    if (g.uniform_u64(0, 7) == 0) c *= g.uniform_u64(2, 16);
+    const auto p = lmc.place_non_interactive(c, id);
+    const DynamicSingleCoreScheduler& q = lmc.queue(p.core);
+    if (id % 4096 == 0) {
+      ASSERT_EQ(p.position, q.backward_position(p.ref));
+    }
+    fnv.add(p.core);
+    fnv.add(p.position);
+    fnv.add_bits(p.marginal);
+    fnv.add_bits(lmc.total_queue_cost());
+    fnv.add(q.table().best_rate(p.position));
+    // Dispatches interleaved with the arrivals exercise Algorithm 6 at
+    // every queue depth, not only on the final drain.
+    if (id % 8 == 7) dispatch(id % 16 == 7 ? 0 : 1);
+  }
+  for (std::size_t i = 0; i < 50'000; ++i) dispatch(i % 2);
+  EXPECT_EQ(lmc.queue(0).size(), 62'499u);
+  EXPECT_EQ(lmc.queue(1).size(), 62'501u);
+  EXPECT_EQ(fnv.h, 0xf2b3b6ebf66dabe2ull);
+}
 
 }  // namespace
 }  // namespace dvfs::core

@@ -16,7 +16,9 @@
 #include "dvfs/core/plan_io.h"
 #include "dvfs/cpufreq/cpufreq.h"
 #include "dvfs/obs/json.h"
+#include "dvfs/obs/metrics.h"
 #include "dvfs/obs/recorder.h"
+#include "dvfs/svc/service.h"
 #include "dvfs/workload/trace.h"
 
 #ifndef DVFS_TOOLS_DIR
@@ -325,6 +327,37 @@ TEST_F(ToolsFixture, InspectTraceRebuildsTimelinesAndExportsChrome) {
   EXPECT_NE(run(tool("dvfs_inspect") + " trace --in " + dfr_path +
                 " --task 99"),
             0);
+}
+
+/// `dvfs_inspect info` over a real 2-shard, 4-core service recording:
+/// each shard channel carries its own kParams with that shard's 2 cores,
+/// and the platform line must report all 4 and the shard count.
+TEST_F(ToolsFixture, InspectInfoSumsCoresOverServiceShards) {
+  dvfs::svc::ServiceOptions opts;
+  opts.shards = 2;
+  opts.cores = 4;
+  opts.steal_ratio = 0.0;
+  dvfs::obs::Registry registry;
+  opts.registry = &registry;
+  dvfs::svc::SchedulingService svc(dvfs::core::EnergyModel::icpp2014_table2(),
+                                   dvfs::core::CostParams{0.4, 0.1}, opts);
+  dvfs::obs::Recorder recorder(2);
+  svc.set_recorder(&recorder);
+  svc.start();
+  for (dvfs::core::TaskId id = 1; id <= 20; ++id) {
+    ASSERT_TRUE(svc.submit(id, 2'000'000).accepted);
+  }
+  svc.drain();
+  recorder.drain();
+  const std::string dfr = dir_ + "/serve.dfr";
+  recorder.write_file(dfr);
+
+  int code = 0;
+  const std::string info =
+      run_capture(tool("dvfs_inspect") + " info --in " + dfr, &code);
+  EXPECT_EQ(code, 0) << info;
+  EXPECT_NE(info.find("policy lmc on 4 cores in 2 shards"), std::string::npos)
+      << info;
 }
 
 TEST_F(ToolsFixture, SimulateHelpDocumentsObservabilityFlags) {

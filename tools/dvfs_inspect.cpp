@@ -141,10 +141,20 @@ int cmd_info(const obs::Recording& rec) {
                 static_cast<unsigned long long>(ch.dropped),
                 ch.dropped > 0 ? "  <-- lossy" : "");
   }
+  // A service recording holds one kParams per shard channel, each with
+  // that shard's cores; the platform is their sum.
+  unsigned cores = 0;
+  std::size_t shards = 0;
+  for (const Event& e : rec.events) {
+    if (e.type != static_cast<std::uint8_t>(EventType::kParams)) continue;
+    cores += e.core;
+    ++shards;
+  }
   if (const auto p = rec.first_of(EventType::kParams)) {
     std::printf("policy %s on %u cores",
                 policy_name(static_cast<obs::dfr::PolicyKind>(p->aux)),
-                p->core);
+                cores);
+    if (shards > 1) std::printf(" in %zu shards", shards);
     if (p->f0 != 0.0 || p->f1 != 0.0) {
       std::printf(" (Re=%g Rt=%g)", p->f0, p->f1);
     }
